@@ -5,8 +5,9 @@
 // With -cache-dir the server is durable: offline-phase results are
 // snapshotted to disk so a restart (or a second session on the same table
 // and query) skips the feature computation, and every session's labelling
-// history is journalled so interactive sessions survive a restart with
-// identical recommendations.
+// history is journalled (journal.wal, checksummed WAL frames) so
+// interactive sessions survive a restart with identical recommendations.
+// A journal.jsonl written by an earlier release is imported once.
 //
 // Observability (see the Operations section of README.md): GET /metricz
 // serves Prometheus-format metrics and GET /debug/vars the same registry
@@ -106,16 +107,32 @@ func main() {
 
 	opts := server.Options{SessionBudgetBytes: *sessBudget}
 	var journal *store.Journal
+	journalPath := filepath.Join(*cacheDir, "journal.wal")
 	if *cacheDir != "" {
 		cache, err := store.Open(*cacheDir, 0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "serve:", err)
 			os.Exit(1)
 		}
-		journal, err = store.OpenJournal(filepath.Join(*cacheDir, "journal.jsonl"))
+		// A journal.jsonl left by an earlier release is imported into the
+		// WAL journal once, then kept as journal.jsonl.imported.
+		imported, skipped, err := store.ImportJSONL(filepath.Join(*cacheDir, "journal.jsonl"), journalPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "serve: importing journal.jsonl:", err)
+			os.Exit(1)
+		}
+		if imported > 0 || skipped > 0 {
+			fmt.Printf("Imported %d record(s) from journal.jsonl into %s (%d malformed line(s) skipped; the old file is kept as journal.jsonl.imported)\n",
+				imported, journalPath, skipped)
+		}
+		journal, err = store.OpenJournal(journalPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "serve:", err)
 			os.Exit(1)
+		}
+		if rec := journal.Recovery(); rec.TornTail {
+			fmt.Printf("serve: truncated a torn session journal tail (%d records kept, %d bytes dropped)\n",
+				rec.Records, rec.TornBytes)
 		}
 		opts.Cache = cache
 		opts.Journal = journal
@@ -159,12 +176,7 @@ func main() {
 		srv.Tracer().SetSink(f)
 	}
 	if journal != nil {
-		recs, err := store.ReadJournal(journal.Path())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "serve: reading journal:", err)
-			os.Exit(1)
-		}
-		restored, err := srv.RestoreSessions(recs)
+		restored, err := srv.RestoreSessions(journal.Recovered())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "serve: some sessions were not restored:", err)
 		}
@@ -172,7 +184,7 @@ func main() {
 			// Restore is lazy: sessions are indexed cold and each pays its
 			// (cache-warm) rebuild on first touch, so boot stays O(records).
 			fmt.Printf("Indexed %d session(s) from %s (cold; each rehydrates on first touch)\n",
-				restored, journal.Path())
+				restored, journalPath)
 		}
 	}
 	if *sessBudget > 0 {

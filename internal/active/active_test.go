@@ -42,7 +42,7 @@ func TestColdStartWalksFeatures(t *testing.T) {
 	rows := twoClusterRows()
 	c := &ColdStart{Seed: 1}
 	labeled := map[int]float64{}
-	// First call: top of feature 0 → view 0.
+	// No labels yet: round 0 ranks by feature 0 → view 0.
 	got, err := c.Select(rows, labeled, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -51,35 +51,57 @@ func TestColdStartWalksFeatures(t *testing.T) {
 		t.Errorf("first cold-start pick = %d, want 0", got[0])
 	}
 	labeled[0] = 0.9
-	if c.Exhausted(2) {
-		t.Error("not yet exhausted after one feature")
-	}
-	// Second call: top of feature 1 → view 5.
+	// One label: round 1 ranks by feature 1 → view 5.
 	got, _ = c.Select(rows, labeled, 1)
 	if got[0] != 5 {
 		t.Errorf("second cold-start pick = %d, want 5", got[0])
 	}
 	labeled[5] = 0.1
-	// Third call: features exhausted → random among the rest.
+	// Two labels: both features walked → random among the rest.
 	got, _ = c.Select(rows, labeled, 1)
-	if !c.Exhausted(2) {
-		t.Error("should be exhausted after both features")
-	}
 	if _, already := labeled[got[0]]; already {
 		t.Error("random fallback must pick an unlabelled view")
+	}
+	// The fallback draw is a function of the labels: asking again, or
+	// asking a fresh strategy with the same seed, presents the same view.
+	again, _ := c.Select(rows, labeled, 1)
+	fresh, _ := (&ColdStart{Seed: 1}).Select(rows, labeled, 1)
+	if again[0] != got[0] || fresh[0] != got[0] {
+		t.Errorf("fallback picks %d, %d, %d for the same labels", got[0], again[0], fresh[0])
+	}
+}
+
+// TestColdStartRoundsOfM: with m views per round the walk advances one
+// feature per m labels, so a round whose views are all labelled moves on
+// and a repeated ask inside a round re-presents the same views.
+func TestColdStartRoundsOfM(t *testing.T) {
+	rows := twoClusterRows()
+	c := &ColdStart{}
+	first, _ := c.Select(rows, map[int]float64{}, 2)
+	if first[0] != 0 || first[1] != 1 {
+		t.Fatalf("round 0 = %v, want [0 1]", first)
+	}
+	if again, _ := c.Select(rows, map[int]float64{}, 2); again[0] != 0 || again[1] != 1 {
+		t.Fatalf("repeated round 0 = %v, want [0 1]", again)
+	}
+	second, _ := c.Select(rows, map[int]float64{0: 1, 1: 1}, 2)
+	if second[0] != 5 || second[1] != 6 {
+		t.Fatalf("round 1 = %v, want [5 6]", second)
 	}
 }
 
 func TestColdStartSkipsLabeled(t *testing.T) {
 	rows := twoClusterRows()
 	c := &ColdStart{}
-	labeled := map[int]float64{0: 0.9}
+	// One label puts the walk on feature 1, whose top view is already
+	// labelled: the pick is the next-best unlabelled view by feature 1.
+	labeled := map[int]float64{5: 0.9}
 	got, err := c.Select(rows, labeled, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 1 {
-		t.Errorf("should pick next-best by feature 0: got %d, want 1", got[0])
+	if got[0] != 6 {
+		t.Errorf("should pick next-best by feature 1: got %d, want 6", got[0])
 	}
 }
 
@@ -143,6 +165,10 @@ func TestRandomDeterministicBySeed(t *testing.T) {
 		if ga[i] != gb[i] {
 			t.Fatal("same seed must select identically")
 		}
+	}
+	// Repeating a selection repeats its draw.
+	if again, _ := a.Select(rows, map[int]float64{}, 4); again[0] != ga[0] || again[3] != ga[3] {
+		t.Fatalf("repeated selection %v differs from %v", again, ga)
 	}
 	// Never returns labelled views.
 	labeled := map[int]float64{0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
@@ -237,7 +263,7 @@ func TestDensityWeightedBasics(t *testing.T) {
 			t.Errorf("selected labelled view %d", v)
 		}
 	}
-	// Density cache reused across calls.
+	// Repeated selection over the same rows.
 	if _, err := d.Select(rows, labeled, 1); err != nil {
 		t.Fatal(err)
 	}

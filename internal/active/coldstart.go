@@ -1,25 +1,19 @@
 package active
 
-import "math/rand"
-
 // ColdStart acquires the first positive and negative labels: it walks the
-// utility features in order, each iteration presenting the unlabelled
-// views ranked highest by the current feature; once every feature has had
-// a turn it falls back to seeded random sampling (Section 3.2).
+// utility features in order, each round of m views presenting the
+// unlabelled views ranked highest by the current feature; once every
+// feature has had a turn it falls back to seeded random sampling (Section
+// 3.2). The round is the label count over m, not a per-call counter, so
+// asking again without labelling presents the same views, and a session
+// rebuilt from its labels resumes the walk where the original stood.
 type ColdStart struct {
 	// Seed drives the random fallback.
 	Seed int64
-
-	cursor int
-	rng    *rand.Rand
 }
 
 // Name implements Strategy.
 func (c *ColdStart) Name() string { return "coldstart" }
-
-// Exhausted reports whether every feature has had its ranking turn and the
-// strategy is now sampling randomly.
-func (c *ColdStart) Exhausted(numFeatures int) bool { return c.cursor >= numFeatures }
 
 // Select implements Strategy.
 func (c *ColdStart) Select(rows [][]float64, labeled map[int]float64, m int) ([]int, error) {
@@ -30,23 +24,9 @@ func (c *ColdStart) Select(rows [][]float64, labeled map[int]float64, m int) ([]
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-	numFeatures := len(rows[0])
-	if c.cursor < numFeatures {
-		f := c.cursor
-		c.cursor++
+	if f := len(labeled) / m; f < len(rows[0]) {
 		return topByScore(candidates, func(i int) float64 { return rows[i][f] }, m), nil
 	}
 	// Every feature has been tried: random sampling.
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.Seed))
-	}
-	if m > len(candidates) {
-		m = len(candidates)
-	}
-	picked := make([]int, 0, m)
-	perm := c.rng.Perm(len(candidates))
-	for _, p := range perm[:m] {
-		picked = append(picked, candidates[p])
-	}
-	return picked, nil
+	return samplePerm(candidates, selectionRand(c.Seed, len(labeled)), m), nil
 }

@@ -2,7 +2,6 @@ package active
 
 import (
 	"math"
-	"math/rand"
 
 	"viewseeker/internal/ml"
 )
@@ -17,10 +16,9 @@ type Committee struct {
 	Size int
 	// Threshold binarises labels (default 0.5).
 	Threshold float64
-	// Seed drives bootstrap resampling.
+	// Seed drives bootstrap resampling, reseeded per selection from (Seed,
+	// labels so far).
 	Seed int64
-
-	rng *rand.Rand
 }
 
 // Name implements Strategy.
@@ -43,9 +41,7 @@ func (c *Committee) Select(rows [][]float64, labeled map[int]float64, m int) ([]
 	if threshold <= 0 {
 		threshold = 0.5
 	}
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.Seed))
-	}
+	rng := selectionRand(c.Seed, len(labeled))
 	type example struct {
 		x []float64
 		y float64
@@ -79,7 +75,7 @@ func (c *Committee) Select(rows [][]float64, labeled map[int]float64, m int) ([]
 			x := make([][]float64, len(pool))
 			y := make([]float64, len(pool))
 			for j := range pool {
-				e := pool[c.rng.Intn(len(pool))]
+				e := pool[rng.Intn(len(pool))]
 				x[j], y[j] = e.x, e.y
 			}
 			model.ExternalScaler = scaler
@@ -87,7 +83,7 @@ func (c *Committee) Select(rows [][]float64, labeled map[int]float64, m int) ([]
 			// overlap heavily, so the previous optimum is a few gradient
 			// steps from the next one. The chain lives entirely inside this
 			// call — members are fresh models, so Select stays a function of
-			// its arguments and the rng state, same as before.
+			// its arguments and Seed.
 			if k > 0 {
 				model.WarmStart = true
 				model.SeedFrom(members[k-1])

@@ -20,9 +20,6 @@ type DensityWeighted struct {
 	Threshold float64
 	// Beta trades informativeness against representativeness (default 1).
 	Beta float64
-
-	densities []float64 // cached per space (keyed by len(rows))
-	densityN  int
 }
 
 // Name implements Strategy.
@@ -45,7 +42,7 @@ func (d *DensityWeighted) Select(rows [][]float64, labeled map[int]float64, m in
 	if beta <= 0 {
 		beta = 1
 	}
-	d.ensureDensities(rows)
+	densities := densitiesOf(rows)
 
 	model := ml.NewLogisticRegression()
 	var x [][]float64
@@ -71,26 +68,24 @@ func (d *DensityWeighted) Select(rows [][]float64, labeled map[int]float64, m in
 		}
 	}
 	score := func(i int) float64 {
-		return model.Uncertainty(rows[i]) * math.Pow(d.densities[i], beta)
+		return model.Uncertainty(rows[i]) * math.Pow(densities[i], beta)
 	}
 	return topByScore(candidates, score, m), nil
 }
 
-// ensureDensities computes (once per space) each row's mean similarity to
-// every other row, over standardised features.
-func (d *DensityWeighted) ensureDensities(rows [][]float64) {
-	if d.densities != nil && d.densityN == len(rows) {
-		return
-	}
+// densitiesOf computes each row's mean similarity to every other row, over
+// standardised features. It is recomputed per selection rather than
+// cached: refinement rewrites rows in place, and a cache would make the
+// selection depend on when it was first filled.
+func densitiesOf(rows [][]float64) []float64 {
 	n := len(rows)
-	d.densityN = n
-	d.densities = make([]float64, n)
+	densities := make([]float64, n)
 	scaler, err := ml.FitScaler(rows)
-	if err != nil {
-		for i := range d.densities {
-			d.densities[i] = 1
+	if err != nil || n == 1 {
+		for i := range densities {
+			densities[i] = 1
 		}
-		return
+		return densities
 	}
 	std := scaler.TransformAll(rows)
 	for i := 0; i < n; i++ {
@@ -106,10 +101,7 @@ func (d *DensityWeighted) ensureDensities(rows [][]float64) {
 			}
 			total += 1 / (1 + math.Sqrt(dist))
 		}
-		if n > 1 {
-			d.densities[i] = total / float64(n-1)
-		} else {
-			d.densities[i] = 1
-		}
+		densities[i] = total / float64(n-1)
 	}
+	return densities
 }

@@ -1,12 +1,10 @@
 package active
 
-import "math/rand"
-
 // Random samples unlabelled views uniformly — the baseline query strategy
-// that active learning is measured against.
+// that active learning is measured against. Draws are seeded from (Seed,
+// labels so far), so repeating a selection repeats its views.
 type Random struct {
 	Seed int64
-	rng  *rand.Rand
 }
 
 // Name implements Strategy.
@@ -21,15 +19,5 @@ func (r *Random) Select(rows [][]float64, labeled map[int]float64, m int) ([]int
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(r.Seed))
-	}
-	if m > len(candidates) {
-		m = len(candidates)
-	}
-	out := make([]int, 0, m)
-	for _, p := range r.rng.Perm(len(candidates))[:m] {
-		out = append(out, candidates[p])
-	}
-	return out, nil
+	return samplePerm(candidates, selectionRand(r.Seed, len(labeled)), m), nil
 }

@@ -9,25 +9,12 @@ import (
 // Uncertainty implements least-confidence uncertainty sampling (Eq. 6–7):
 // it trains a logistic-regression uncertainty estimator on the labels seen
 // so far (binarised at Threshold) and presents the views whose predicted
-// class probability is closest to 0.5.
+// class probability is closest to 0.5. Each selection fits a fresh
+// estimator, so it depends only on its arguments.
 type Uncertainty struct {
 	// Threshold binarises the 0–1 interest labels into the positive /
 	// negative classes the uncertainty estimator trains on (default 0.5).
 	Threshold float64
-	// NewModel builds a fresh estimator per selection; nil uses
-	// ml.NewLogisticRegression.
-	NewModel func() *ml.LogisticRegression
-	// WarmStart retrains the previous selection's estimator in place
-	// instead of fitting a fresh one, seeding gradient descent from the
-	// last optimum — one new label rarely moves it far, so warm fits
-	// converge in a fraction of the epochs. Off by default because it
-	// trades away replay purity: Select becomes dependent on the
-	// strategy's own call history, so a session restored by replaying
-	// labels alone (core.SessionState) will not reproduce the original
-	// selections unless every intervening Select is replayed too. Keep it
-	// off for sessions that must be snapshot-restorable.
-	WarmStart bool
-
 	lastModel *ml.LogisticRegression
 }
 
@@ -70,26 +57,15 @@ func (u *Uncertainty) Select(rows [][]float64, labeled map[int]float64, m int) (
 		}
 	}
 	model := ml.NewLogisticRegression()
-	if u.NewModel != nil {
-		model = u.NewModel()
-	} else if u.WarmStart && u.lastModel != nil {
-		model = u.lastModel
-		model.WarmStart = true
-		// Rows shift under refinement, so the scaler is refitted below;
-		// the stale weights are only a descent seed, not a prediction.
-		model.ExternalScaler = nil
-	}
 	if len(x) > 0 {
 		// Standardise against the whole view space: the model scores every
 		// unlabelled view, and labelled-only statistics make near-constant
 		// features explode off-sample (see ml.LinearRegression.ExternalScaler).
-		if model.ExternalScaler == nil {
-			scaler, err := ml.FitScaler(rows)
-			if err != nil {
-				return nil, err
-			}
-			model.ExternalScaler = scaler
+		scaler, err := ml.FitScaler(rows)
+		if err != nil {
+			return nil, err
 		}
+		model.ExternalScaler = scaler
 		if err := model.Fit(x, y); err != nil {
 			return nil, err
 		}

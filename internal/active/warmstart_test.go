@@ -4,78 +4,21 @@ import (
 	"testing"
 )
 
-// driveUncertainty runs a fixed labelling schedule through one strategy
-// instance, recording each selection.
-func driveUncertainty(t *testing.T, u *Uncertainty) [][]int {
-	t.Helper()
+// TestUncertaintyFreshModelPerSelection: every selection fits a fresh
+// estimator, so no selection inherits state from the one before it.
+func TestUncertaintyFreshModelPerSelection(t *testing.T) {
 	rows := twoClusterRows()
-	labeled := map[int]float64{0: 0.9, 5: 0.1}
-	var picks [][]int
-	for step := 0; step < 5; step++ {
-		got, err := u.Select(rows, labeled, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) == 0 {
-			break
-		}
-		picks = append(picks, got)
-		// Label what was shown: cluster 0 is interesting.
-		if got[0] < 5 {
-			labeled[got[0]] = 0.8
-		} else {
-			labeled[got[0]] = 0.2
-		}
-	}
-	return picks
-}
-
-// TestUncertaintyWarmStartDeterministic: warm start makes Select depend on
-// the strategy's own history, but that history is deterministic — two
-// instances driven through the same schedule must select identically.
-func TestUncertaintyWarmStartDeterministic(t *testing.T) {
-	a := driveUncertainty(t, &Uncertainty{WarmStart: true})
-	b := driveUncertainty(t, &Uncertainty{WarmStart: true})
-	if len(a) != len(b) {
-		t.Fatalf("runs diverged in length: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i][0] != b[i][0] {
-			t.Fatalf("step %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-// TestUncertaintyWarmStartReusesModel: the point of the opt-in is to
-// retrain one model in place rather than allocate a fresh estimator per
-// selection; without it every selection must get a fresh model.
-func TestUncertaintyWarmStartReusesModel(t *testing.T) {
-	rows := twoClusterRows()
-	labeled := map[int]float64{0: 0.9, 5: 0.1}
-
-	warm := &Uncertainty{WarmStart: true}
-	if _, err := warm.Select(rows, labeled, 1); err != nil {
+	labeled := map[int]float64{0: 0.9, 5: 0.1, 1: 0.8}
+	u := &Uncertainty{}
+	if _, err := u.Select(rows, labeled, 1); err != nil {
 		t.Fatal(err)
 	}
-	first := warm.Model()
-	labeled[1] = 0.8
-	if _, err := warm.Select(rows, labeled, 1); err != nil {
+	first := u.Model()
+	if _, err := u.Select(rows, labeled, 1); err != nil {
 		t.Fatal(err)
 	}
-	if warm.Model() != first {
-		t.Error("warm start must retrain the previous model in place")
-	}
-
-	cold := &Uncertainty{}
-	if _, err := cold.Select(rows, labeled, 1); err != nil {
-		t.Fatal(err)
-	}
-	firstCold := cold.Model()
-	if _, err := cold.Select(rows, labeled, 1); err != nil {
-		t.Fatal(err)
-	}
-	if cold.Model() == firstCold {
-		t.Error("default strategy must fit a fresh model per selection")
+	if u.Model() == first {
+		t.Error("Uncertainty must fit a fresh model per selection")
 	}
 }
 

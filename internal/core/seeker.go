@@ -96,6 +96,8 @@ func (s *Seeker) InColdStart() bool { return !(s.havePositive && s.haveNegative)
 // NextViews selects the views to present this iteration: the cold-start
 // walk until both a positive and a negative label exist, then the
 // configured query strategy. It returns nil when every view is labelled.
+// Selection depends only on the labels so far, never on how often it was
+// asked: calling it again without labelling returns the same views.
 func (s *Seeker) NextViews() ([]int, error) {
 	return s.NextViewsCtx(context.Background())
 }
@@ -353,10 +355,6 @@ func (s *Seeker) TopK() []int {
 	}
 	return ranked[:k]
 }
-
-// Estimator exposes the trained view utility estimator — the discovered
-// u_p() approximating the user's ideal utility function.
-func (s *Seeker) Estimator() *ml.LinearRegression { return s.utility }
 
 // Weights returns the estimator's learned feature weights (Eq. 4's β,
 // unnormalised) and intercept, aligned with matrix feature order.

@@ -295,6 +295,61 @@ func TestSessionStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSessionStateRoundTripMidColdStart snapshots a session still in cold
+// start (every label so far positive) and restores it: the restored
+// session must resume the feature walk where the original stood — the
+// same next views, round after round — and asking for the next views
+// again without labelling must not advance the walk.
+func TestSessionStateRoundTripMidColdStart(t *testing.T) {
+	m := buildMatrix(t, 0)
+	s1, err := NewSeeker(m, Config{K: 5, ColdStartSeed: 3}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		next, err := s1.NextViews()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.Feedback(next[0], 0.9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s1.InColdStart() {
+		t.Fatal("all-positive labels must keep the session in cold start")
+	}
+	s2, err := NewSeeker(m, Config{K: 5, ColdStartSeed: 3}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Restore(s1.State()); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		n1, err := s1.NextViews()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _ := s1.NextViews()
+		n2, err := s2.NextViews()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n1[0] != again[0] {
+			t.Fatalf("round %d: repeated NextViews moved the walk: %v then %v", round, n1, again)
+		}
+		if n1[0] != n2[0] {
+			t.Fatalf("round %d: restored session presents %v, original %v", round, n2, n1)
+		}
+		if err := s1.Feedback(n1[0], 0.8); err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Feedback(n2[0], 0.8); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRestoreValidation(t *testing.T) {
 	m := buildMatrix(t, 0)
 	s, _ := NewSeeker(m, Config{}, false)

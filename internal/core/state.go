@@ -23,10 +23,9 @@ func (s *Seeker) State() SessionState {
 
 // Restore replays a snapshot into the session. It requires a fresh
 // session (no labels yet) over a view space at least as large as the one
-// the snapshot was taken from. Estimators and recommendations come back
-// identical; the only non-reconstructed detail is the cold-start cursor —
-// a session restored while still in cold start rewalks the feature list
-// from the first feature (skipping the already-labelled views).
+// the snapshot was taken from. Estimators, recommendations and the next
+// views come back identical: selection is a function of the labels, so a
+// session restored mid-cold-start resumes the walk where it stood.
 func (s *Seeker) Restore(st SessionState) error {
 	if st.Version != stateVersion {
 		return fmt.Errorf("core: session state version %d, want %d", st.Version, stateVersion)

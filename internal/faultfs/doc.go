@@ -12,7 +12,8 @@
 // the Nth write, writes after a byte budget — never probabilistically, so
 // a failing robustness test replays identically. Torn writes really
 // persist their prefix, matching what a crashed kernel leaves behind;
-// the journal's torn-line recovery is tested against that exact shape.
+// the WAL's (and so the session journal's) torn-frame recovery is tested
+// against that exact shape.
 //
 // Pass-through fidelity: OS adds no buffering, caching or retry of its
 // own. Whatever semantics the platform gives os.File, callers get.

@@ -18,8 +18,8 @@
 // component) and the degraded field on session-info and feedback bodies.
 //
 // Replay: every session lifecycle event is journalled, and replay
-// rebuilds a session deterministically from its log (create + feedback),
-// so the restored estimator, top-k and weights are exact.
+// rebuilds a session deterministically from its log (create + feedback):
+// estimator, top-k, weights and next view (GET next is idempotent).
 // RestoreSessions is lazy: it indexes journaled sessions cold and each
 // rehydrates on first touch rather than at boot.
 //

@@ -2,10 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"viewseeker/internal/dataset"
@@ -77,7 +83,7 @@ func TestOversizedBodyGets413(t *testing.T) {
 func TestJournalRestoreReconstructsSession(t *testing.T) {
 	dir := t.TempDir()
 	table := diabTable()
-	journalPath := filepath.Join(dir, "journal.jsonl")
+	journalPath := filepath.Join(dir, "journal.wal")
 	journal, err := store.OpenJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
@@ -117,11 +123,8 @@ func TestJournalRestoreReconstructsSession(t *testing.T) {
 	doJSON(t, "GET", ts1.URL+"/api/sessions/"+info.ID+"/weights", nil, http.StatusOK, &weightsBefore)
 
 	// "Kill" the server without any clean shutdown: the journal's appends
-	// are already on disk, so a new process sees them.
-	recs, err := store.ReadJournal(journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// are already in the file, so a new process opening it sees them.
+	recs := recoveredRecords(t, journalPath)
 	cache2, err := store.Open(filepath.Join(dir, "cache"), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +182,8 @@ func TestJournalRestoreReconstructsSession(t *testing.T) {
 func TestRestoreSkipsDeletedSessions(t *testing.T) {
 	dir := t.TempDir()
 	table := diabTable()
-	journal, err := store.OpenJournal(filepath.Join(dir, "journal.jsonl"))
+	journalPath := filepath.Join(dir, "journal.wal")
+	journal, err := store.OpenJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +196,7 @@ func TestRestoreSkipsDeletedSessions(t *testing.T) {
 	doJSON(t, "POST", ts1.URL+"/api/sessions", body, http.StatusCreated, &dropped)
 	doJSON(t, "DELETE", ts1.URL+"/api/sessions/"+dropped.ID, nil, http.StatusNoContent, nil)
 
-	recs, err := store.ReadJournal(journal.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := recoveredRecords(t, journalPath)
 	srv2 := New(table)
 	restored, err := srv2.RestoreSessions(recs)
 	if err != nil {
@@ -223,4 +224,172 @@ func TestRestoreSurvivesUnknownTable(t *testing.T) {
 	if err == nil {
 		t.Fatal("missing-table session restored without error")
 	}
+}
+
+// recoveredRecords opens the journal at path the way a restarting server
+// does and returns the records it recovered.
+func recoveredRecords(t *testing.T, path string) []store.Record {
+	t.Helper()
+	j, err := store.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	return j.Recovered()
+}
+
+// TestJournalImportRestoresSessions boots from a journal in the JSON-lines
+// format earlier releases wrote: it imports once into the WAL journal, and
+// the restored sessions answer /top and /weights byte-identically to a
+// twin restored by replaying the same records directly.
+func TestJournalImportRestoresSessions(t *testing.T) {
+	dir := t.TempDir()
+	table := diabTable()
+	q, err := json.Marshal(dataset.DIABQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture := `{"op":"create","session":"aaaa","table":"diab","query":` + string(q) + `,"k":5,"seed":7,"view":0,"label":0}
+{"op":"create","session":"bbbb","table":"diab","query":` + string(q) + `,"k":3,"alpha":0.25,"strategy":"committee","seed":2,"workers":1,"view":0,"label":0}
+{"op":"feedback","session":"aaaa","view":4,"label":1}
+{"op":"feedback","session":"bbbb","view":0,"label":0.75}
+{"op":"feedback","session":"aaaa","view":11,"label":0}
+{"op":"create","session":"cccc","table":"diab","query":` + string(q) + `,"k":3,"view":0,"label":0}
+{"op":"feedback","session":"aaaa","view":42,"label":0.5}
+{"op":"delete","session":"cccc","view":0,"label":0}
+{"op":"feedback","session":"bbbb","view":9,"label":0.25}
+`
+	direct := []store.Record{
+		{Op: store.OpCreate, Session: "aaaa", Table: "diab", Query: dataset.DIABQuery, K: 5, Seed: 7},
+		{Op: store.OpCreate, Session: "bbbb", Table: "diab", Query: dataset.DIABQuery, K: 3, Alpha: 0.25, Strategy: "committee", Seed: 2, Workers: 1},
+		{Op: store.OpFeedback, Session: "aaaa", View: 4, Label: 1},
+		{Op: store.OpFeedback, Session: "bbbb", View: 0, Label: 0.75},
+		{Op: store.OpFeedback, Session: "aaaa", View: 11, Label: 0},
+		{Op: store.OpCreate, Session: "cccc", Table: "diab", Query: dataset.DIABQuery, K: 3},
+		{Op: store.OpFeedback, Session: "aaaa", View: 42, Label: 0.5},
+		{Op: store.OpDelete, Session: "cccc"},
+		{Op: store.OpFeedback, Session: "bbbb", View: 9, Label: 0.25},
+	}
+	legacy := filepath.Join(dir, "journal.jsonl")
+	path := filepath.Join(dir, "journal.wal")
+	if err := os.WriteFile(legacy, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, skipped, err := store.ImportJSONL(legacy, path); err != nil || n != len(direct) || skipped != 0 {
+		t.Fatalf("import = %d records, %d skipped, %v", n, skipped, err)
+	}
+	if n, _, err := store.ImportJSONL(legacy, path); err != nil || n != 0 {
+		t.Fatalf("second import = %d records, %v; want a no-op once the legacy file is retired", n, err)
+	}
+	journal, err := store.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	imported := NewWithOptions(Options{Journal: journal}, table)
+	if n, err := imported.RestoreSessions(journal.Recovered()); err != nil || n != 2 {
+		t.Fatalf("restored %d sessions from the import, %v; want 2", n, err)
+	}
+	twin := New(table)
+	if n, err := twin.RestoreSessions(direct); err != nil || n != 2 {
+		t.Fatalf("twin restored %d sessions, %v", n, err)
+	}
+	ih, th := imported.Handler(), twin.Handler()
+	for _, id := range []string{"aaaa", "bbbb"} {
+		for _, route := range []string{"/top", "/weights"} {
+			ic, ib := rawJSON(t, ih, "GET", "/api/sessions/"+id+route, nil)
+			tc, tb := rawJSON(t, th, "GET", "/api/sessions/"+id+route, nil)
+			if ic != http.StatusOK || tc != http.StatusOK || ib != tb {
+				t.Fatalf("%s%s: imported %d %s, twin %d %s", id, route, ic, ib, tc, tb)
+			}
+		}
+	}
+	if code, _ := rawJSON(t, ih, "GET", "/api/sessions/cccc", nil); code != http.StatusNotFound {
+		t.Errorf("deleted session cccc = %d after import, want 404", code)
+	}
+}
+
+// TestTornJournalSurfacesAtBoot: a journal whose tail was damaged is
+// truncated to its committed prefix on open, and the truncation shows on
+// /healthz and /metricz.
+func TestTornJournalSurfacesAtBoot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	j, err := store.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []store.Record{
+		{Op: store.OpCreate, Session: "aaaa", Table: "diab", Query: dataset.DIABQuery, K: 3},
+		{Op: store.OpFeedback, Session: "aaaa", View: 2, Label: 1},
+		{Op: store.OpFeedback, Session: "aaaa", View: 5, Label: 0},
+	}
+	for i, rec := range recs {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if err := j.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	j.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Damage the last byte of the second frame: the second and third
+	// records go, the create survives.
+	st := recoveredRecords(t, path)
+	if len(st) != 3 {
+		t.Fatalf("clean journal recovered %d records", len(st))
+	}
+	firstEnd := frameEnd(t, raw, 0)
+	secondEnd := frameEnd(t, raw, firstEnd)
+	raw[secondEnd-1] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	journal, err := store.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	srv := NewWithOptions(Options{Journal: journal}, diabTable())
+	if n, err := srv.RestoreSessions(journal.Recovered()); err != nil || n != 1 {
+		t.Fatalf("restored %d, %v", n, err)
+	}
+	h := srv.Handler()
+	var health healthResponse
+	serveJSON(t, h, context.Background(), "GET", "/healthz", nil, &health)
+	want := journalHealth{healthComponent{Enabled: true},
+		store.JournalRecovery{Records: 1, TornTail: true, TornBytes: int64(len(raw)) - firstEnd}}
+	if health.Journal != want {
+		t.Fatalf("healthz journal = %+v, want %+v", health.Journal, want)
+	}
+	var info sessionInfo
+	if rec := serveJSON(t, h, context.Background(), "GET", "/api/sessions/aaaa", nil, &info); rec.Code != http.StatusOK || info.NumLabels != 0 {
+		t.Fatalf("restored session = %d with %d labels, want the create-only prefix", rec.Code, info.NumLabels)
+	}
+	_, metrics := rawJSON(t, h, "GET", "/metricz", nil)
+	for _, line := range []string{
+		"viewseeker_store_journal_torn_tails_total 1",
+		"viewseeker_store_journal_recovered_records_total 1",
+		fmt.Sprintf("viewseeker_store_journal_truncated_bytes_total %d", want.TornBytes),
+	} {
+		if !strings.Contains(metrics, line+"\n") {
+			t.Errorf("/metricz lacks %q", line)
+		}
+	}
+}
+
+// frameEnd returns the offset just past the WAL frame starting at off:
+// a u32 little-endian payload length, a u32 checksum, then the payload.
+func frameEnd(t *testing.T, raw []byte, off int64) int64 {
+	t.Helper()
+	if off+8 > int64(len(raw)) {
+		t.Fatalf("no frame at offset %d", off)
+	}
+	return off + 8 + int64(binary.LittleEndian.Uint32(raw[off:]))
 }

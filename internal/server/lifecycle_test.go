@@ -23,7 +23,9 @@ func rawJSON(t *testing.T, h http.Handler, method, path string, body any) (int, 
 // a server under a 1-byte budget evicts the session's in-RAM state after
 // every request and rebuilds it by journal replay on the next touch; its
 // responses must be byte-identical to an unbudgeted twin serving the same
-// session without ever evicting.
+// session without ever evicting. GET /next is among the compared routes:
+// selection state must survive replay too, including a rebuild taken in
+// the middle of the cold-start walk.
 func TestEvictionRehydrationBitIdentity(t *testing.T) {
 	table := diabTable()
 	budgeted := NewWithOptions(Options{SessionBudgetBytes: 1}, table)
@@ -37,6 +39,17 @@ func TestEvictionRehydrationBitIdentity(t *testing.T) {
 	}
 	if rec := serveJSON(t, ch, context.Background(), "POST", "/api/sessions", create, &cInfo); rec.Code != http.StatusCreated {
 		t.Fatalf("control create = %d: %s", rec.Code, rec.Body.String())
+	}
+
+	// Before any label, after an eviction: the cold-start walk's first
+	// round.
+	budgeted.EvictIdleSessions()
+	for _, route := range []string{"/next", "/next"} {
+		_, b := rawJSON(t, bh, "GET", "/api/sessions/"+bInfo.ID+route, nil)
+		_, c := rawJSON(t, ch, "GET", "/api/sessions/"+cInfo.ID+route, nil)
+		if b != c {
+			t.Fatalf("%s diverged before any label:\n got %s\nwant %s", route, b, c)
+		}
 	}
 
 	steps := []struct {
@@ -57,7 +70,7 @@ func TestEvictionRehydrationBitIdentity(t *testing.T) {
 		if bBody != cBody {
 			t.Fatalf("step %d: post-eviction feedback diverged:\n got %s\nwant %s", i, bBody, cBody)
 		}
-		for _, route := range []string{"/top", "/weights"} {
+		for _, route := range []string{"/next", "/top", "/weights", "/next"} {
 			_, b := rawJSON(t, bh, "GET", "/api/sessions/"+bInfo.ID+route, nil)
 			_, c := rawJSON(t, ch, "GET", "/api/sessions/"+cInfo.ID+route, nil)
 			if b != c {

@@ -133,12 +133,12 @@ func TestCancelPreCancelledRequestsGet503(t *testing.T) {
 // flag clears by itself once the fault lifts.
 func TestDegradeJournalENOSPCKeepsServing(t *testing.T) {
 	faulty := faultfs.NewFaulty(nil)
-	journal, err := store.OpenJournalFS(faulty, filepath.Join(t.TempDir(), "journal.jsonl"))
+	journal, err := store.OpenJournalFS(faulty, filepath.Join(t.TempDir(), "journal.wal"),
+		retry.Policy{Attempts: 3, Base: time.Millisecond, Max: 4 * time.Millisecond, Sleep: func(time.Duration) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer journal.Close()
-	journal.SetRetryPolicy(retry.Policy{Attempts: 3, Base: time.Millisecond, Max: 4 * time.Millisecond, Sleep: func(time.Duration) {}})
 	srv := NewWithOptions(Options{Journal: journal}, diabTable())
 	h := srv.Handler()
 

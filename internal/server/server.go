@@ -382,12 +382,19 @@ type healthComponent struct {
 	Degraded bool `json:"degraded"`
 }
 
+// journalHealth is the journal's GET /healthz state: the durability flags
+// plus what opening it recovered and truncated.
+type journalHealth struct {
+	healthComponent
+	store.JournalRecovery
+}
+
 // healthResponse is the GET /healthz body. Status is "ok" or "degraded" —
 // degraded means the server answers every request correctly but some
 // state written now would not survive a restart.
 type healthResponse struct {
 	Status   string          `json:"status"`
-	Journal  healthComponent `json:"journal"`
+	Journal  journalHealth   `json:"journal"`
 	Cache    healthComponent `json:"cache"`
 	Sessions int             `json:"sessions"`
 	// SessionManager is the memory-budgeted lifecycle state (DESIGN.md
@@ -414,7 +421,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	sm := s.sessions.Stats()
 	resp := healthResponse{
 		Status:         "ok",
-		Journal:        healthComponent{Enabled: s.journal != nil},
+		Journal:        journalHealth{healthComponent: healthComponent{Enabled: s.journal != nil}},
 		Cache:          healthComponent{Enabled: s.cache.DiskBacked()},
 		Sessions:       sm.Resident + sm.Cold,
 		SessionManager: sm,
@@ -422,6 +429,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.journal != nil {
 		resp.Journal.Degraded = s.journal.Degraded()
+		resp.Journal.JournalRecovery = s.journal.Recovery()
 	}
 	resp.Cache.Degraded = s.cache.Degraded()
 	if resp.Journal.Degraded || resp.Cache.Degraded {
@@ -627,8 +635,8 @@ func (s *Server) infoOf(id, table, query string, sk *viewseeker.Seeker) sessionI
 	}
 }
 
-// RestoreSessions indexes interactive sessions from journal records (see
-// store.ReadJournal): every session still live at the end of the log is
+// RestoreSessions indexes interactive sessions from journal records
+// (store.Journal.Recovered): every session live at the end of the log is
 // registered cold under its journalled id — the journal mirror and a
 // rehydration closure, no offline phase — and rebuilt transparently on
 // its first touch, through the offline-result cache, with its labelling

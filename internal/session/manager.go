@@ -32,22 +32,13 @@ type Config struct {
 	// pinned sessions are never evicted, so the total can exceed the
 	// budget by the working set of in-flight requests.
 	BudgetBytes int64
-	// HeadroomFraction sets the shed threshold above the budget: when the
-	// unevictable resident bytes exceed BudgetBytes × (1 +
-	// HeadroomFraction), new sessions and rehydrations are refused with
-	// *Overload. ≤ 0 selects DefaultHeadroomFraction.
-	HeadroomFraction float64
-	// MaxRehydrations bounds concurrent journal replays; a cold touch
-	// past the bound is refused with *Overload instead of queueing
-	// unbounded rebuild work behind a burst. ≤ 0 selects
-	// DefaultMaxRehydrations.
-	MaxRehydrations int
-	// RetryAfter is the client backoff hint carried by *Overload (and the
-	// HTTP Retry-After header upstream). ≤ 0 selects DefaultRetryAfter.
-	RetryAfter time.Duration
 }
 
-// Defaults for the Config knobs.
+// Admission control refuses new sessions and rehydrations with *Overload
+// once the unevictable resident bytes exceed BudgetBytes × (1 +
+// DefaultHeadroomFraction), or once DefaultMaxRehydrations journal
+// replays are in flight (a burst does not queue unbounded rebuild work).
+// DefaultRetryAfter is the client backoff hint *Overload carries.
 const (
 	DefaultHeadroomFraction = 0.5
 	DefaultMaxRehydrations  = 4
@@ -127,15 +118,6 @@ type entry struct {
 
 // NewManager returns a manager for the config.
 func NewManager(cfg Config) *Manager {
-	if cfg.HeadroomFraction <= 0 {
-		cfg.HeadroomFraction = DefaultHeadroomFraction
-	}
-	if cfg.MaxRehydrations <= 0 {
-		cfg.MaxRehydrations = DefaultMaxRehydrations
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	m := &Manager{
 		cfg:     cfg,
 		entries: make(map[string]*entry),
@@ -167,7 +149,7 @@ func (m *Manager) BudgetBytes() int64 { return m.cfg.BudgetBytes }
 
 // hardLimitLocked is the shed threshold: budget plus headroom.
 func (m *Manager) hardLimitLocked() int64 {
-	return m.cfg.BudgetBytes + int64(float64(m.cfg.BudgetBytes)*m.cfg.HeadroomFraction)
+	return m.cfg.BudgetBytes + int64(float64(m.cfg.BudgetBytes)*DefaultHeadroomFraction)
 }
 
 func (m *Manager) updateGaugesLocked() {
@@ -176,30 +158,24 @@ func (m *Manager) updateGaugesLocked() {
 	m.gCold.Set(int64(len(m.entries) - m.lru.Len()))
 }
 
-// evictLocked sheds idle resident sessions coldest-first until the
-// accounted total is back under the budget (or nothing evictable
-// remains), returning how many were dropped. The seeker (matrix, target,
-// generator, estimator) is released to the collector; the journal mirror
-// stays, so the next touch rehydrates.
-func (m *Manager) evictLocked() int {
-	if m.cfg.BudgetBytes <= 0 {
-		return 0
-	}
+// evictLocked sheds idle, unpinned resident sessions coldest-first — all
+// of them when all is set, otherwise until the accounted total is back
+// under the budget — returning how many were dropped. The seeker (matrix,
+// target, generator, estimator) is released to the collector; the journal
+// mirror stays, so the next touch rehydrates.
+func (m *Manager) evictLocked(all bool) int {
 	evicted := 0
-	for el := m.lru.Front(); el != nil && m.resident > m.cfg.BudgetBytes; {
+	for el := m.lru.Front(); el != nil && (all || m.cfg.BudgetBytes > 0 && m.resident > m.cfg.BudgetBytes); {
 		next := el.Next()
-		e := el.Value.(*entry)
-		if e.refs > 0 || e.pinned {
-			el = next
-			continue
+		if e := el.Value.(*entry); e.refs == 0 && !e.pinned {
+			e.seeker = nil
+			m.resident -= e.bytes
+			e.bytes = 0
+			m.lru.Remove(el)
+			e.elem = nil
+			m.mEvictions.Inc()
+			evicted++
 		}
-		e.seeker = nil
-		m.resident -= e.bytes
-		e.bytes = 0
-		m.lru.Remove(el)
-		e.elem = nil
-		m.mEvictions.Inc()
-		evicted++
 		el = next
 	}
 	if evicted > 0 {
@@ -212,11 +188,11 @@ func (m *Manager) evictLocked() int {
 // the unevictable resident bytes still exceed the hard limit, or the
 // rehydration backlog is full.
 func (m *Manager) overloadedLocked() *Overload {
-	if m.rehydrating >= m.cfg.MaxRehydrations {
-		return &Overload{Reason: "rehydration backlog full", RetryAfter: m.cfg.RetryAfter}
+	if m.rehydrating >= DefaultMaxRehydrations {
+		return &Overload{Reason: "rehydration backlog full", RetryAfter: DefaultRetryAfter}
 	}
 	if m.cfg.BudgetBytes > 0 && m.resident > m.hardLimitLocked() {
-		return &Overload{Reason: "session memory budget exhausted", RetryAfter: m.cfg.RetryAfter}
+		return &Overload{Reason: "session memory budget exhausted", RetryAfter: DefaultRetryAfter}
 	}
 	return nil
 }
@@ -228,7 +204,7 @@ func (m *Manager) overloadedLocked() *Overload {
 func (m *Manager) AdmitNew() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.evictLocked()
+	m.evictLocked(false)
 	if ov := m.overloadedLocked(); ov != nil {
 		m.mShedCreate.Inc()
 		return ov
@@ -254,7 +230,7 @@ func (m *Manager) Put(id string, create store.Record, build BuildFunc, sk *views
 	m.entries[id] = e
 	e.elem = m.lru.PushBack(e)
 	m.resident += bytes
-	m.evictLocked()
+	m.evictLocked(false)
 	m.updateGaugesLocked()
 	return true
 }
@@ -315,7 +291,7 @@ func (m *Manager) Acquire(ctx context.Context, id string) (*Handle, error) {
 // other operation on it.
 func (m *Manager) rehydrate(ctx context.Context, e *entry) error {
 	m.mu.Lock()
-	m.evictLocked()
+	m.evictLocked(false)
 	if ov := m.overloadedLocked(); ov != nil {
 		m.mShedRehydrate.Inc()
 		m.mu.Unlock()
@@ -348,7 +324,7 @@ func (m *Manager) rehydrate(ctx context.Context, e *entry) error {
 	e.elem = m.lru.PushBack(e)
 	m.mRehydrations.Inc()
 	m.mRehydrateSecs.ObserveDuration(time.Since(start))
-	m.evictLocked()
+	m.evictLocked(false)
 	m.updateGaugesLocked()
 	return nil
 }
@@ -361,7 +337,7 @@ func (m *Manager) release(e *entry) {
 	// The entry just went idle: if a burst pushed the total over budget
 	// while it was unevictable, settle now.
 	if e.refs == 0 {
-		m.evictLocked()
+		m.evictLocked(false)
 		m.updateGaugesLocked()
 	}
 }
@@ -385,7 +361,7 @@ func (h *Handle) RecordFeedback(view int, label float64) {
 	h.m.mu.Lock()
 	h.m.resident += bytes - e.bytes
 	e.bytes = bytes
-	h.m.evictLocked()
+	h.m.evictLocked(false)
 	h.m.updateGaugesLocked()
 	h.m.mu.Unlock()
 }
@@ -429,25 +405,7 @@ func (m *Manager) Has(id string) bool {
 func (m *Manager) EvictIdle() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	evicted := 0
-	for el := m.lru.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*entry)
-		if e.refs == 0 && !e.pinned {
-			e.seeker = nil
-			m.resident -= e.bytes
-			e.bytes = 0
-			m.lru.Remove(el)
-			e.elem = nil
-			m.mEvictions.Inc()
-			evicted++
-		}
-		el = next
-	}
-	if evicted > 0 {
-		m.updateGaugesLocked()
-	}
-	return evicted
+	return m.evictLocked(true)
 }
 
 // Stats is the manager's state snapshot for GET /healthz.

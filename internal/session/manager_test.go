@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"viewseeker"
 	"viewseeker/internal/dataset"
@@ -175,9 +174,9 @@ func TestAdmissionShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	per := sk.MemoryBytes()
-	// Budget + headroom below two sessions, so two busy sessions trip the
-	// hard limit.
-	m := NewManager(Config{BudgetBytes: per, HeadroomFraction: 0.25, RetryAfter: 2 * time.Second})
+	// Budget + the default headroom (half a budget) is below two sessions,
+	// so two busy sessions trip the hard limit.
+	m := NewManager(Config{BudgetBytes: per})
 	reg := obs.NewRegistry()
 	m.Instrument(reg)
 
@@ -199,7 +198,7 @@ func TestAdmissionShed(t *testing.T) {
 	if err := m.AdmitNew(); !errors.As(err, &ov) {
 		t.Fatalf("AdmitNew with busy set over limit = %v, want *Overload", err)
 	}
-	if ov.RetryAfter != 2*time.Second {
+	if ov.RetryAfter != DefaultRetryAfter {
 		t.Errorf("RetryAfter = %v", ov.RetryAfter)
 	}
 	if _, err := m.Acquire(context.Background(), "cold"); !errors.As(err, &ov) {
@@ -225,6 +224,56 @@ func TestAdmissionShed(t *testing.T) {
 	} else {
 		h.Release()
 	}
+}
+
+// TestRehydrationBacklogSheds: with DefaultMaxRehydrations replays in
+// flight, one more cold touch is refused with the backlog reason and the
+// default Retry-After, and succeeds once the backlog drains.
+func TestRehydrationBacklogSheds(t *testing.T) {
+	table := diab(t)
+	gate := make(chan struct{})
+	started := make(chan struct{}, DefaultMaxRehydrations)
+	blocking := func(ctx context.Context, c store.Record) (*viewseeker.Seeker, error) {
+		started <- struct{}{}
+		<-gate
+		return buildFrom(table)(ctx, c)
+	}
+	m := NewManager(Config{})
+	for i := 0; i <= DefaultMaxRehydrations; i++ {
+		id := fmt.Sprintf("c%d", i)
+		m.Index(id, store.SessionLog{Create: createRecord(id)}, blocking)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < DefaultMaxRehydrations; i++ {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			h, err := m.Acquire(context.Background(), id)
+			if err != nil {
+				t.Errorf("Acquire(%s) = %v", id, err)
+				return
+			}
+			h.Release()
+		}(fmt.Sprintf("c%d", i))
+	}
+	for i := 0; i < DefaultMaxRehydrations; i++ {
+		<-started
+	}
+	last := fmt.Sprintf("c%d", DefaultMaxRehydrations)
+	var ov *Overload
+	if _, err := m.Acquire(context.Background(), last); !errors.As(err, &ov) {
+		t.Fatalf("Acquire past the backlog = %v, want *Overload", err)
+	}
+	if ov.Reason != "rehydration backlog full" || ov.RetryAfter != DefaultRetryAfter {
+		t.Errorf("overload = %+v", ov)
+	}
+	close(gate)
+	wg.Wait()
+	h, err := m.Acquire(context.Background(), last)
+	if err != nil {
+		t.Fatalf("Acquire after the backlog drained = %v", err)
+	}
+	h.Release()
 }
 
 // TestPinnedNeverEvicted: pinned sessions (maintained live-table state)
@@ -307,7 +356,7 @@ func TestConcurrentAcquire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(Config{BudgetBytes: sk.MemoryBytes() * 2, MaxRehydrations: 2})
+	m := NewManager(Config{BudgetBytes: sk.MemoryBytes() * 2})
 	for i := 0; i < 4; i++ {
 		putSession(t, m, table, fmt.Sprintf("s%d", i))
 	}

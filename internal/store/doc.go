@@ -14,17 +14,17 @@
 // Results are deep-copied on Put and Get; no session can leak its in-place
 // refinements into another.
 //
+// One log format: the journal is internal/wal frames, one single-row
+// batch per record, so every record is checksummed and sequence-chained.
+// Opening it is the only read: a torn or damaged frame truncates the log
+// to the records before it, and the truncation is reported (Recovery),
+// never skipped over. ImportJSONL reads the JSON-lines journal of earlier
+// releases once.
+//
 // Degraded mode (DESIGN.md §10): journal appends and cache snapshot
 // writes run under retry.Policy; when retries exhaust, the write is
 // dropped, the component marks itself Degraded, and the caller's request
-// still succeeds — losing durability must never lose the interaction.
-// The flag is write-path only and the next successful write clears it, so
-// recovery is automatic when the fault lifts.
-//
-// Torn-line safety: journal appends are single write calls; a partial
-// write sets a flag that makes the next append terminate the torn
-// fragment with a newline, and replay skips lines that fail to parse —
-// one torn write costs exactly one record, never its neighbours.
+// still succeeds. The next successful write clears the flag.
 //
 // Replay exactness: a session's create record plus its feedback records,
 // replayed in order, reconstruct its estimator bit-identically — the
@@ -32,6 +32,7 @@
 // labelled sequence. The memory-budgeted session manager (DESIGN.md §16)
 // leans on this: an evicted session keeps only its journal mirror and is
 // rebuilt exactly on next touch, with the cache making the rebuild warm.
+// Selection state included: it is a function of the labels.
 //
 // Observability: Instrument(reg) on Cache and Journal registers
 // hit/miss/eviction, snapshot and append latency/bytes, degraded-state

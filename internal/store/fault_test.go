@@ -36,14 +36,13 @@ func faultResult() *OfflineResult {
 
 func TestJournalFaultENOSPCDegradesAndRecovers(t *testing.T) {
 	fs := faultfs.NewFaulty(nil)
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournalFS(fs, path)
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	var slept []time.Duration
+	j, err := OpenJournalFS(fs, path, recordingPolicy(&slept))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	var slept []time.Duration
-	j.SetRetryPolicy(recordingPolicy(&slept))
 
 	if err := j.Append(Record{Op: OpCreate, Session: "a", Table: "t", Query: "q"}); err != nil {
 		t.Fatal(err)
@@ -76,10 +75,7 @@ func TestJournalFaultENOSPCDegradesAndRecovers(t *testing.T) {
 		t.Error("successful append did not clear the degraded flag")
 	}
 
-	recs, err := ReadJournalFS(fs, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := reopenFS(t, fs, path)
 	// The ENOSPC'd record is lost (it never reached disk); the records
 	// around it survive.
 	if len(recs) != 2 || recs[0].Op != OpCreate || recs[1].View != 2 {
@@ -89,14 +85,13 @@ func TestJournalFaultENOSPCDegradesAndRecovers(t *testing.T) {
 
 func TestJournalFaultTransientErrorIsRetriedAway(t *testing.T) {
 	fs := faultfs.NewFaulty(nil)
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournalFS(fs, path)
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	var slept []time.Duration
+	j, err := OpenJournalFS(fs, path, recordingPolicy(&slept))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	var slept []time.Duration
-	j.SetRetryPolicy(recordingPolicy(&slept))
 
 	// Two transient failures fit inside the 3-attempt budget: the append
 	// succeeds overall and the journal never degrades.
@@ -110,26 +105,26 @@ func TestJournalFaultTransientErrorIsRetriedAway(t *testing.T) {
 	if len(slept) != 2 {
 		t.Errorf("slept %v, want 2 backoffs", slept)
 	}
-	recs, err := ReadJournalFS(fs, path)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("replay = %+v, %v", recs, err)
+	if recs := reopenFS(t, fs, path); len(recs) != 1 {
+		t.Fatalf("replay = %+v", recs)
 	}
 }
 
 func TestJournalFaultTornWriteDoesNotCorruptNeighbours(t *testing.T) {
 	fs := faultfs.NewFaulty(nil)
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournalFS(fs, path)
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	// No retries: observe one torn write per append.
+	j, err := OpenJournalFS(fs, path, retry.Policy{Attempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	j.SetRetryPolicy(retry.Policy{Attempts: 1}) // no retries: observe one torn write per append
 
 	if err := j.Append(Record{Op: OpCreate, Session: "a", Table: "t", Query: "q"}); err != nil {
 		t.Fatal(err)
 	}
-	// A torn write persists a JSON prefix and fails.
+	// A torn write persists a frame prefix and fails; the WAL truncates
+	// the partial frame away before returning.
 	fs.TearWritesAfter(7, errNoSpace)
 	if err := j.Append(Record{Op: OpFeedback, Session: "a", View: 1, Label: 1}); !errors.Is(err, errNoSpace) {
 		t.Fatalf("torn append err = %v", err)
@@ -138,19 +133,32 @@ func TestJournalFaultTornWriteDoesNotCorruptNeighbours(t *testing.T) {
 		t.Error("torn append did not degrade the journal")
 	}
 	fs.Clear()
-	// The next append terminates the torn fragment before writing itself.
+	// The next append lands right after the intact create record.
 	if err := j.Append(Record{Op: OpFeedback, Session: "a", View: 2, Label: 0}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJournalFS(fs, path)
+	if j.Degraded() {
+		t.Error("successful append did not clear the degraded flag")
+	}
+	recs := reopenFS(t, fs, path)
+	if len(recs) != 2 || recs[0].Op != OpCreate || recs[1].Op != OpFeedback || recs[1].View != 2 {
+		t.Fatalf("replay = %+v, want create + view-2 feedback (torn frame dropped)", recs)
+	}
+}
+
+// reopenFS opens the journal at path afresh over fs, asserting a clean
+// log, and returns its records.
+func reopenFS(t *testing.T, fs faultfs.FS, path string) []Record {
+	t.Helper()
+	j, err := OpenJournalFS(fs, path, retry.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].Op != OpCreate || recs[1].Op != OpFeedback || recs[1].View != 2 {
-		t.Fatalf("replay = %+v, want create + view-2 feedback (torn line skipped)", recs)
+	defer j.Close()
+	if j.Recovery().TornTail {
+		t.Errorf("reopen found a torn tail: %+v", j.Recovery())
 	}
-	raw, _ := os.ReadFile(path)
-	t.Logf("journal bytes: %q", raw)
+	return j.Recovered()
 }
 
 func TestCacheFaultSnapshotENOSPCDegradesToMemoryOnly(t *testing.T) {

@@ -1,18 +1,17 @@
 package store
 
 import (
-	"bufio"
-	"context"
-	"encoding/json"
 	"fmt"
-	"os"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"viewseeker/internal/dataset"
 	"viewseeker/internal/faultfs"
 	"viewseeker/internal/obs"
 	"viewseeker/internal/retry"
+	"viewseeker/internal/wal"
 )
 
 // Journal record operations.
@@ -26,7 +25,8 @@ const (
 // carry the full session configuration; since selection and refinement are
 // deterministic functions of (configuration, labels), replaying a
 // session's create followed by its feedback records through a fresh seeker
-// reconstructs the estimator exactly.
+// reconstructs the session exactly. The JSON tags are the line format
+// earlier releases journalled in, read only by ImportJSONL.
 type Record struct {
 	Op      string `json:"op"`
 	Session string `json:"session"`
@@ -45,26 +45,85 @@ type Record struct {
 	Label float64 `json:"label"`
 }
 
-// Journal is an append-only log of session records, one JSON object per
-// line. Appends are atomic at the line level (a single write call each),
-// and ReadJournal tolerates torn lines, so a crash mid-append loses at
-// most the record being written. Safe for concurrent use.
+// recordRow maps a record to its one-row WAL batch: op and session, then
+// the fields its op carries in declaration order — seven for create, view
+// and label for feedback, none for delete. A record that could not
+// round-trip (a field its op does not carry, an empty session, a NaN) is
+// rejected.
+func recordRow(rec Record) ([]dataset.Value, error) {
+	row := []dataset.Value{dataset.StringVal(rec.Op), dataset.StringVal(rec.Session)}
+	switch rec.Op {
+	case OpCreate:
+		row = append(row, dataset.StringVal(rec.Table), dataset.StringVal(rec.Query),
+			dataset.Int(int64(rec.K)), dataset.Float(rec.Alpha), dataset.StringVal(rec.Strategy),
+			dataset.Int(rec.Seed), dataset.Int(int64(rec.Workers)))
+	case OpFeedback:
+		row = append(row, dataset.Int(int64(rec.View)), dataset.Float(rec.Label))
+	}
+	if back, err := rowRecord(row); err != nil || back != rec {
+		return nil, fmt.Errorf("store: journal record %+v does not fit its op", rec)
+	}
+	return row, nil
+}
+
+// rowKinds is the row layout of each op after its op and session values.
+var rowKinds = map[string][]dataset.Kind{
+	OpCreate: {dataset.KindString, dataset.KindString, dataset.KindInt, dataset.KindFloat,
+		dataset.KindString, dataset.KindInt, dataset.KindInt},
+	OpFeedback: {dataset.KindInt, dataset.KindFloat},
+	OpDelete:   {},
+}
+
+// rowRecord reverses recordRow, rejecting any row it could not have
+// produced.
+func rowRecord(row []dataset.Value) (Record, error) {
+	if len(row) < 2 || row[0].Kind != dataset.KindString || row[1].Kind != dataset.KindString || row[1].S == "" {
+		return Record{}, fmt.Errorf("store: journal row %v has no op and session", row)
+	}
+	kinds, ok := rowKinds[row[0].S]
+	ok = ok && len(row) == 2+len(kinds)
+	for i := 0; ok && i < len(kinds); i++ {
+		ok = row[2+i].Kind == kinds[i] && !math.IsNaN(row[2+i].F)
+	}
+	if !ok {
+		return Record{}, fmt.Errorf("store: journal row %v does not match its op", row)
+	}
+	rec := Record{Op: row[0].S, Session: row[1].S}
+	switch rec.Op {
+	case OpCreate:
+		rec.Table, rec.Query, rec.K, rec.Alpha = row[2].S, row[3].S, int(row[4].I), row[5].F
+		rec.Strategy, rec.Seed, rec.Workers = row[6].S, row[7].I, int(row[8].I)
+	case OpFeedback:
+		rec.View, rec.Label = int(row[2].I), row[3].F
+	}
+	return rec, nil
+}
+
+// JournalRecovery reports what opening a journal found: a torn or damaged
+// frame truncates the log at its start, dropping it and all after it.
+type JournalRecovery struct {
+	Records   int   `json:"recoveredRecords"` // records in the committed prefix
+	TornTail  bool  `json:"tornTail"`
+	TornBytes int64 `json:"truncatedBytes"`
+}
+
+// Journal is the append-only log of session records as WAL frames
+// (internal/wal), one single-row batch per record. Opening it runs the
+// WAL's recovery, whose records (Recovered) are the only way the journal
+// is read back. Appends do not fsync; Sync and Close do. Safe for
+// concurrent use.
 //
-// Failure semantics: a failed append is retried on a bounded
-// exponential-backoff schedule (SetRetryPolicy); once the schedule is
-// exhausted the error is returned and the journal marks itself Degraded.
-// The file stays open — the next append retries from scratch, and its
-// success clears the degraded flag, so a transient disk fault costs only
-// the records written while it lasted. A write that persisted some bytes
-// before failing leaves a torn line; the journal terminates it with a
-// newline before the next record so one torn write never corrupts the
-// records after it.
+// Failure semantics are the WAL's: a failed write is retried, completing
+// a torn frame's suffix; once retries exhaust, the partial frame is
+// truncated away, the append fails and the journal is Degraded until the
+// next successful append. If even the truncation fails, the log is
+// poisoned and every later append fails until the journal is reopened.
 type Journal struct {
-	mu      sync.Mutex
-	f       faultfs.File
-	path    string
-	midLine bool // last write failed after persisting part of a line
-	policy  retry.Policy
+	mu       sync.Mutex
+	w        *wal.WAL
+	recs     []Record
+	recovery JournalRecovery
+	logBytes int64 // committed log size after the last append
 
 	degraded atomic.Bool
 
@@ -76,41 +135,67 @@ type Journal struct {
 	mAppendSeconds                *obs.Histogram
 }
 
-// OpenJournal opens (creating if needed) an append-only journal at path.
+// OpenJournal opens (creating if needed) the journal at path, recovering
+// its committed records and truncating a torn or damaged tail.
 func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalFS(faultfs.OS{}, path)
+	return OpenJournalFS(faultfs.OS{}, path, retry.Policy{})
 }
 
-// OpenJournalFS is OpenJournal over an explicit filesystem — the
-// fault-injection seam.
-func OpenJournalFS(fs faultfs.FS, path string) (*Journal, error) {
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// OpenJournalFS is OpenJournal over an explicit filesystem and append
+// retry schedule (the zero Policy selects retry.Default()) — the
+// fault-injection seam. An intact frame that does not decode to a record
+// fails the open; it is never skipped.
+func OpenJournalFS(fs faultfs.FS, path string, policy retry.Policy) (*Journal, error) {
+	if policy.Attempts == 0 {
+		policy = retry.Default()
+	}
+	// Backoffs are counted by wrapping Sleep (run by Append, under j.mu):
+	// the WAL copies the policy now, before Instrument.
+	j := &Journal{}
+	sleep := policy.Sleep
+	if sleep == nil {
+		sleep = time.Sleep
+	}
+	policy.Sleep = func(d time.Duration) { j.mRetryBackoffs.Inc(); sleep(d) }
+	// The journal's WAL is never instrumented: the viewseeker_wal_* series
+	// belong to the live tables.
+	w, rec, err := wal.Open(fs, path, wal.Options{SyncEvery: math.MaxInt, Retry: policy})
 	if err != nil {
 		return nil, fmt.Errorf("store: opening journal: %w", err)
 	}
-	return &Journal{f: f, path: path, policy: retry.Default()}, nil
+	j.w, j.logBytes = w, rec.CommittedBytes
+	j.recovery = JournalRecovery{Records: len(rec.Batches), TornTail: rec.TornTail, TornBytes: rec.TornBytes}
+	j.recs = make([]Record, 0, len(rec.Batches))
+	for _, b := range rec.Batches {
+		r, err := rowRecord(b.Rows[0])
+		if err == nil && len(b.Rows) != 1 {
+			err = fmt.Errorf("store: journal frame holds %d rows", len(b.Rows))
+		}
+		if err != nil {
+			w.Close()
+			return nil, fmt.Errorf("store: journal %s, frame %d: %w", path, b.Seq, err)
+		}
+		j.recs = append(j.recs, r)
+	}
+	return j, nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
+// Recovered returns the records the journal held when it was opened, in
+// log order.
+func (j *Journal) Recovered() []Record { return j.recs }
 
-// SetRetryPolicy replaces the append retry schedule (tests inject a
-// recording sleeper to assert deterministic backoff timing).
-func (j *Journal) SetRetryPolicy(p retry.Policy) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.policy = p
-}
+// Recovery reports what opening the journal found on disk.
+func (j *Journal) Recovery() JournalRecovery { return j.recovery }
 
-// Degraded reports whether the last append exhausted its retries: the
-// journal is still accepting appends, but records written while the flag
-// is set were lost and will not survive a restart.
+// Degraded reports whether the last append failed: records written while
+// the flag is set were lost and will not survive a restart.
 func (j *Journal) Degraded() bool { return j.degraded.Load() }
 
 // Instrument registers the journal's metrics against reg: append count,
-// bytes and latency, degraded-state gauge and transition counter, and the
-// shared retry counters (one series across journal and cache). Call once
-// at wiring time; an uninstrumented journal records nothing.
+// bytes and latency, the degraded gauge and transition counter, the
+// shared retry counters, and what opening the journal recovered and
+// truncated. Call once at wiring time; an uninstrumented journal records
+// nothing.
 func (j *Journal) Instrument(reg *obs.Registry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -121,49 +206,27 @@ func (j *Journal) Instrument(reg *obs.Registry) {
 	j.mDegradedTransitions = reg.Counter(`viewseeker_store_degraded_transitions_total{component="journal"}`)
 	j.mRetryBackoffs = reg.Counter("viewseeker_retry_backoffs_total")
 	j.mRetryExhaust = reg.Counter("viewseeker_retry_exhausted_total")
+	reg.Counter("viewseeker_store_journal_recovered_records_total").Add(int64(j.recovery.Records))
+	reg.Counter("viewseeker_store_journal_truncated_bytes_total").Add(j.recovery.TornBytes)
+	if j.recovery.TornTail {
+		reg.Counter("viewseeker_store_journal_torn_tails_total").Inc()
+	}
 }
 
-// Append writes one record, retrying transient failures on the journal's
-// backoff schedule. On success the degraded flag clears; on exhaustion it
-// sets and the last write error is returned — callers deciding to keep
+// Append writes one record as one WAL frame. On failure the journal marks
+// itself degraded and the error is returned — callers deciding to keep
 // serving without durability (the HTTP server does) log it and move on.
 func (j *Journal) Append(rec Record) error {
-	line, err := json.Marshal(rec)
+	row, err := recordRow(rec)
 	if err != nil {
-		return fmt.Errorf("store: encoding journal record: %w", err)
+		return err
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("store: journal is closed")
-	}
 	start := time.Now()
-	defer func() {
-		j.mAppendSeconds.ObserveDuration(time.Since(start))
-	}()
-	policy := j.policy
-	policy.Backoffs = j.mRetryBackoffs
-	policy.Exhausted = j.mRetryExhaust
-	err = policy.Do(context.Background(), func() error {
-		payload := line
-		if j.midLine {
-			// Terminate the torn fragment a previous partial write left, so
-			// the replay scanner sees one malformed line, not a corrupted
-			// merge of fragment and record.
-			payload = append([]byte{'\n'}, line...)
-		}
-		n, werr := j.f.Write(payload)
-		if werr != nil {
-			if n > 0 {
-				j.midLine = true
-			}
-			return werr
-		}
-		j.midLine = false
-		return nil
-	})
-	if err != nil {
+	defer func() { j.mAppendSeconds.ObserveDuration(time.Since(start)) }()
+	if _, err := j.w.Append([][]dataset.Value{row}); err != nil {
+		j.mRetryExhaust.Inc()
 		if !j.degraded.Swap(true) {
 			j.mDegradedTransitions.Inc()
 		}
@@ -173,76 +236,17 @@ func (j *Journal) Append(rec Record) error {
 	j.degraded.Store(false)
 	j.mDegraded.Set(0)
 	j.mAppends.Inc()
-	j.mBytes.Add(int64(len(line)))
+	n := j.w.Bytes()
+	j.mBytes.Add(n - j.logBytes)
+	j.logBytes = n
 	return nil
 }
 
 // Sync flushes appended records to stable storage.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	return j.f.Sync()
-}
+func (j *Journal) Sync() error { return j.w.Sync() }
 
 // Close syncs and closes the journal. Further appends fail.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	return err
-}
-
-// ReadJournal loads every well-formed record from a journal file. A
-// missing file is an empty journal. Malformed or unrecognised lines are
-// skipped, not fatal: a torn tail from a crash and torn interior lines
-// from a disk fault mid-append (each terminated by the next successful
-// append, see Journal.Append) both cost only the record being written —
-// every record journalled around them survives. Records are whole lines,
-// so a skipped fragment can never merge two surviving records.
-func ReadJournal(path string) ([]Record, error) {
-	return ReadJournalFS(faultfs.OS{}, path)
-}
-
-// ReadJournalFS is ReadJournal over an explicit filesystem.
-func ReadJournalFS(fs faultfs.FS, path string) ([]Record, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("store: opening journal: %w", err)
-	}
-	defer f.Close()
-	var out []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			continue
-		}
-		switch rec.Op {
-		case OpCreate, OpFeedback, OpDelete:
-		default:
-			continue
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil && len(out) == 0 {
-		return nil, fmt.Errorf("store: reading journal: %w", err)
-	}
-	return out, nil
-}
+func (j *Journal) Close() error { return j.w.Close() }
 
 // SessionLog is the collapsed journal state of one session that is still
 // live at the end of the log: its create record plus its feedback records

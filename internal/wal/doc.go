@@ -40,8 +40,8 @@
 // # Failure semantics
 //
 // Append writes the whole record in one Write and retries torn writes by
-// completing the missing suffix (the same byte-precise resume the store
-// journal uses). If retries exhaust, the partial frame is truncated away
+// completing the missing suffix (the store's session journal is a WAL too,
+// so it inherits all of this). If retries exhaust, the partial frame is truncated away
 // and the append fails with the log intact; if even truncation fails, the
 // log poisons itself and refuses further appends until reopened — an
 // unrepaired tear must not be buried under new records. Fsyncs batch per

@@ -241,13 +241,17 @@ func recover_(fs faultfs.FS, path string, skipThrough uint64) (*Recovery, error)
 		rec.Batches = append(rec.Batches, b)
 		rec.LastSeq = b.Seq
 	}
-	// Anything buffered past the last committed record is tail garbage too.
-	f.Close()
 	if !rec.TornTail {
 		// io.ReadFull hit clean EOF exactly at a record boundary only when
 		// no header bytes were read; a partial header is a torn tail.
 		rec.TornTail = read > rec.CommittedBytes
 	}
+	if rec.TornTail {
+		// Everything after the first bad frame is discarded too: count it.
+		n, _ := io.Copy(io.Discard, br)
+		read += n
+	}
+	f.Close()
 	if rec.TornTail {
 		// The scanner stopped mid-garbage; the file may extend beyond what
 		// it consumed. Truncating to the committed prefix discards all of
@@ -594,8 +598,9 @@ func decodeBatch(p []byte) (Batch, error) {
 	b.Seq = binary.LittleEndian.Uint64(p[0:8])
 	nrows := int(binary.LittleEndian.Uint32(p[8:12]))
 	width := int(binary.LittleEndian.Uint32(p[12:16]))
-	if nrows <= 0 || width <= 0 || nrows > maxPayload || width > 1<<16 {
-		return b, fmt.Errorf("wal: implausible batch shape %d×%d", nrows, width)
+	// Each value takes at least a tag byte: reject shapes before allocating.
+	if nrows <= 0 || width <= 0 || width > 1<<16 || nrows > (len(p)-16)/width {
+		return b, fmt.Errorf("wal: implausible batch shape %d×%d for a %d-byte payload", nrows, width, len(p))
 	}
 	off := 16
 	b.Rows = make([][]dataset.Value, nrows)
